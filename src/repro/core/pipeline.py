@@ -47,6 +47,7 @@ fraction of total drain time that disappeared behind compute.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, List, Optional
@@ -111,12 +112,19 @@ class EpochPipeline:
             raise ValueError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
-        self.pmo = pmo
+        # weak: the PMOctree owns its pipeline, and a strong back-reference
+        # would make the pair a cycle that keeps a dropped tree's arenas
+        # alive until a full garbage collection
+        self._pmo = weakref.ref(pmo)
         self.max_inflight = max_inflight
         self.stats = PipelineStats()
         self._queue: Deque[InFlightEpoch] = deque()
         #: when the single FIFO flush engine frees up (sim ns)
         self._engine_free_ns = 0.0
+
+    @property
+    def pmo(self) -> "PMOctree":
+        return self._pmo()
 
     # -- introspection -----------------------------------------------------
 

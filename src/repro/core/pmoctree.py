@@ -140,6 +140,11 @@ class PMOctree:
         #: only maintained when an epoch pipeline is attached (the
         #: synchronous mark walks V_{i-1} itself and needs no delta).
         self._detached: List[int] = []
+        #: NVBM handles a media repair rewrote or freed since the last
+        #: replica ship.  The replica's images under them are stale, so the
+        #: next delta re-sends whichever of them are published, even though
+        #: the replica already holds the handle (see compute_delta).
+        self._replica_stale: Set[int] = set()
 
         if self.config.max_inflight_epochs > 0:
             from repro.core.pipeline import EpochPipeline

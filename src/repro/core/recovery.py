@@ -173,6 +173,7 @@ def attach_and_restore(dram: MemoryArena, nvbm: MemoryArena, dim: int = 2,
     pmo._dirty = set()
     pmo._superseded = []
     pmo._detached = []
+    pmo._replica_stale = set()
     if pmo.config.max_inflight_epochs > 0:
         from repro.core.pipeline import EpochPipeline
 
@@ -502,6 +503,10 @@ def _relocate_and_republish(pmo: "PMOctree", path, src_bytes: bytes,
     else:
         # rot/CRC corruption: a rewrite refreshes the cells, slot reusable
         nvbm.free(bad_old)
+    # the replica may hold other bytes under these handles: a later
+    # allocation can reuse the freed slot, so re-ship them on the next delta
+    pmo._replica_stale.update(new_handles)
+    pmo._replica_stale.add(bad_old)
     # remap the volatile acceleration structures onto the fresh chain
     remap = dict(zip(old_handles, new_handles))
     for i, frame in enumerate(path):

@@ -132,9 +132,19 @@ class ReplicaStore:
         self.applied_seq = seq
 
 
-def compute_delta(pmo: "PMOctree", replica: ReplicaStore
+def compute_delta(pmo: "PMOctree", replica: ReplicaStore,
+                  resend_stale: bool = True
                   ) -> Tuple[Dict[int, bytes], int, Set[int]]:
     """Records of the current persistent version the replica lacks.
+
+    A record counts as lacking when the replica has no image under its
+    handle, or when a media repair rewrote or freed that handle since the
+    last ship (``pmo._replica_stale``): a repair can hand a freed slot to
+    a new record, and the replica's old image under the same handle is
+    then stale.  No record bytes are compared, so the normal path does no
+    extra device reads.  ``resend_stale=False`` skips the re-send for a
+    delta that can only apply to an empty store, which holds no stale
+    images.
 
     Returns ``(records, root_handle, reachable)`` — the reachable set is
     computed exactly once here and reused by the caller for replica GC
@@ -145,10 +155,11 @@ def compute_delta(pmo: "PMOctree", replica: ReplicaStore
     if root == NULL_HANDLE:
         raise RecoveryError("nothing persisted yet; no delta to replicate")
     reachable = pmo.reachable_from(root)
+    stale = pmo._replica_stale if resend_stale else ()
     delta = {
         h: pmo.nvbm.read(h)
         for h in reachable
-        if h not in replica.records
+        if h not in replica.records or h in stale
     }
     return delta, root, reachable
 
@@ -168,6 +179,7 @@ def ship_delta(pmo: "PMOctree", replica: ReplicaStore) -> int:
         if h not in reachable:
             del replica.records[h]
     replica.applied_seq += 1
+    pmo._replica_stale.clear()
     return len(delta) * OCTANT_RECORD_SIZE
 
 
@@ -344,7 +356,8 @@ class ReplicaSession:
     def protected(self) -> bool:
         """True when the peer holds the host's current persistent version."""
         current = self.pmo.nvbm.roots.get(SLOT_PREV)
-        return current != NULL_HANDLE and self.peer_root == current
+        return current != NULL_HANDLE and self.peer_root == current \
+            and not self.pmo._replica_stale
 
     # -- the protocol --------------------------------------------------------
 
@@ -355,9 +368,15 @@ class ReplicaSession:
         ``max_retries`` unacknowledged attempts, and
         :class:`~repro.errors.RecoveryError` when nothing was persisted.
         """
-        delta, root, reachable = compute_delta(self.pmo, self.replica)
-        if root == self.peer_root and self.replica.root == root:
-            # peer already holds this exact version: nothing to ship
+        # a delta based on no version (a fresh session) applies only to an
+        # empty peer store; any other peer answers it with a full resync
+        delta, root, reachable = compute_delta(
+            self.pmo, self.replica,
+            resend_stale=self.peer_root != NULL_HANDLE)
+        if root == self.peer_root and self.replica.root == root \
+                and not self.pmo._replica_stale:
+            # peer already holds this exact version: nothing to ship (a
+            # repair can republish a reused slot under the same root handle)
             return ShipReport(seq=self.next_seq - 1, bytes_shipped=0,
                               records=0, attempts=0, resynced=False,
                               duplicates_ignored=0, wait_ns=0.0)
@@ -393,6 +412,7 @@ class ReplicaSession:
                         self.injector.site(sites.REPLICA_SHIP_BEFORE_ACK)
                         self.peer_root = root
                         self.next_seq = seq + 1
+                        self.pmo._replica_stale.clear()
                         shipped = len(records) * OCTANT_RECORD_SIZE
                         self.stats.ships += 1
                         self.stats.bytes_shipped += shipped

@@ -72,22 +72,61 @@ def sample_frequency(pmo: "PMOctree", root_loc: int,
     every registered feature function on them, and returns
     ``(total hits, subtree size)``.
     """
-    locs = subtree_locs(pmo, root_loc)
-    size = len(locs)
-    if size == 0 or not pmo.features:
-        return 0.0, size
-    n = min(pmo.config.n_sample_max, size)
-    picks = rng.choice(size, size=n, replace=False)
-    hits = 0
-    for i in picks:
-        loc = locs[int(i)]
+    return sample_frequencies(pmo, [root_loc], rng)[root_loc]
+
+
+def sample_frequencies(pmo: "PMOctree", roots: List[int],
+                       rng: np.random.Generator
+                       ) -> Dict[int, Tuple[float, int]]:
+    """:func:`sample_frequency` for every root, sharing one evaluation.
+
+    The rng draws happen per root in ``roots`` order.  When every
+    registered feature carries a batched twin (see
+    :mod:`repro.octree.refine`), all picks of the pass are read with one
+    metered ``batch_read_payloads`` call and each feature runs once over
+    them; otherwise each pick is read and tested on its own.  An octant
+    is "of interest" once any feature fires, so hits are the OR across
+    features either way.
+    """
+    picked: List[int] = []
+    draws = []
+    for root in roots:
+        locs = subtree_locs(pmo, root)
+        size = len(locs)
+        n = min(pmo.config.n_sample_max, size) if pmo.features else 0
+        if n:
+            picks = rng.choice(size, size=n, replace=False)
+            picked.extend(locs[int(i)] for i in picks)
+        draws.append((root, n, size))
+    hit = _feature_hits(pmo, picked)
+    out: Dict[int, Tuple[float, int]] = {}
+    start = 0
+    for root, n, size in draws:
+        if not n:
+            out[root] = (0.0, size)
+            continue
+        hits = sum(hit[start:start + n])
+        start += n
+        # normalise to the whole subtree so different sample sizes compare
+        out[root] = (hits * (size / n), size)
+    return out
+
+
+def _feature_hits(pmo: "PMOctree", locs: List[int]) -> List[bool]:
+    """Does any registered feature fire on each of ``locs``?"""
+    batches = [getattr(fn, "batch", None) for fn in pmo.features]
+    if locs and None not in batches:
+        payloads = pmo.batch_read_payloads(locs)
+        codes = np.asarray(locs, dtype=np.int64)
+        hit = np.zeros(len(locs), dtype=bool)
+        for batch in batches:
+            hit |= batch(codes, payloads)
+        return hit.tolist()
+    out = []
+    for loc in locs:
         payload = pmo.get_payload(loc)
-        for fn in pmo.features:
-            if fn(loc, payload):
-                hits += 1
-                break  # an octant is "of interest" once any feature fires
-    # normalise to the whole subtree so different sample sizes compare
-    return hits * (size / n), size
+        out.append(any(fn(loc, payload) for fn in pmo.features))
+    return out
 
 
 def detect_and_transform(pmo: "PMOctree",
@@ -110,13 +149,10 @@ def detect_and_transform(pmo: "PMOctree",
     # does NOT grow with the mesh, so it gets its own clock phase — the
     # scaling harness must not multiply it by the element-scale factor.
     clock = pmo.nvbm.device.clock
-    freqs: Dict[int, float] = {}
-    sizes: Dict[int, int] = {}
     with clock.phase("sample"):
-        for root in candidates:
-            f, s = sample_frequency(pmo, root, rng)
-            freqs[root] = f
-            sizes[root] = s
+        sampled = sample_frequencies(pmo, candidates, rng)
+    freqs = {root: f for root, (f, _) in sampled.items()}
+    sizes = {root: size for root, (_, size) in sampled.items()}
     result.candidate_freqs = freqs
 
     # Greedy re-layout.  While free DRAM can hold a hot subtree, loading is

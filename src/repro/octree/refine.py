@@ -4,6 +4,23 @@ A refinement *criterion* is a callable ``(loc, payload) -> Action`` — this
 is precisely the "feature function" the paper's feature-directed sampling
 pre-executes (§3.3), so the same object is shared between the solver and
 PM-octree's layout policy.
+
+Batched twins
+-------------
+A criterion may carry an optional ``batch`` attribute::
+
+    criterion.batch(locs, payloads) -> int array of Action values
+
+``locs`` is an int64 array of leaf codes, ``payloads`` the matching
+``(n, 4)`` float64 rows, and entry ``i`` of the result must equal
+``criterion(locs[i], payloads[i]).value``.  When the criterion has one and
+the tree has a ``batch_read_payloads`` reader, :class:`RefinementEngine`
+reads every leaf in one metered call (charging exactly what per-leaf
+``get_payload`` calls charge) and evaluates the criterion once per sweep
+instead of once per leaf.  Otherwise the per-leaf loop runs.  Either way
+the apply phase is the same: refinements in leaf order, then coarsening
+votes.  PM-octree feature functions (``(loc, payload) -> bool``) follow
+the same protocol with a boolean ``batch`` result.
 """
 
 from __future__ import annotations
@@ -11,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
+
+import numpy as np
 
 from repro.octree import morton
 from repro.octree.balance import balance_tree
@@ -26,6 +45,9 @@ class Action(Enum):
 
 
 Criterion = Callable[[int, Payload], Action]
+
+_REFINE = Action.REFINE.value
+_COARSEN = Action.COARSEN.value
 
 
 @dataclass
@@ -70,23 +92,33 @@ class RefinementEngine:
                 break
         return total
 
+    def _actions(self, tree: AdaptiveTree, leaves) -> list:
+        """The criterion's Action value for every leaf, in leaf order."""
+        batch = getattr(self.criterion, "batch", None)
+        if batch is not None and hasattr(tree, "batch_read_payloads"):
+            payloads = tree.batch_read_payloads(leaves)
+            locs = np.asarray(leaves, dtype=np.int64)
+            return batch(locs, payloads).tolist()
+        return [self.criterion(loc, tree.get_payload(loc)).value
+                for loc in leaves]
+
     def _sweep(self, tree: AdaptiveTree) -> RefinementResult:
         dim = tree.dim
         res = RefinementResult()
         to_refine = []
         votes = {}  # parent loc -> #children voting COARSEN
-        new_leaves = []
-        for loc in list(tree.leaves()):
-            level = morton.level_of(loc, dim)
-            action = self.criterion(loc, tree.get_payload(loc))
-            if action is Action.REFINE and level < self.max_level:
-                to_refine.append(loc)
-            elif action is Action.COARSEN and level > self.min_level:
+        leaves = list(tree.leaves())
+        for loc, action in zip(leaves, self._actions(tree, leaves)):
+            if action == _REFINE:
+                if morton.level_of(loc, dim) < self.max_level:
+                    to_refine.append(loc)
+            elif action == _COARSEN \
+                    and morton.level_of(loc, dim) > self.min_level:
                 parent = morton.parent_of(loc, dim)
                 votes[parent] = votes.get(parent, 0) + 1
         for loc in to_refine:
             if tree.is_leaf(loc):  # may have been consumed by coarsening
-                new_leaves.extend(tree.refine(loc))
+                tree.refine(loc)
                 res.refined += 1
         fanout = morton.fanout(dim)
         for parent, n in votes.items():
@@ -97,7 +129,6 @@ class RefinementEngine:
                             for c in morton.children_of(parent, dim)):
                 tree.coarsen(parent)
                 res.coarsened += 1
-                new_leaves.append(parent)
         if self.balance and (res.refined or res.coarsened):
             res.balance_refined = balance_tree(
                 tree, max_level=self.max_level,

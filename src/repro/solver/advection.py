@@ -181,7 +181,7 @@ def _advect_vof_batched(tree: AdaptiveTree, geometry: DropletGeometry,
     speed = geometry.vertical_velocities(batch.centers, t)
     cfl = np.minimum(1.0, speed * config.dt / batch.h)
     transported = vof + cfl * (vof_up - vof)
-    analytic = geometry.vof_of_cells(batch.mins, batch.maxs, t)
+    analytic = geometry.vof_of_cell(batch.mins, batch.maxs, t)
     new_vof = (1.0 - sharpen) * transported + sharpen * analytic
 
     # Scatter: the prescribed horizontal velocity is identically 0.0, so

@@ -16,6 +16,7 @@ from repro.config import SolverConfig
 from repro.octree import morton
 from repro.octree.refine import Action
 from repro.octree.store import Payload
+from repro.solver import soa
 from repro.solver.fields import VOF
 from repro.solver.geometry import DropletGeometry
 
@@ -44,7 +45,8 @@ def interface_band_feature(geometry: DropletGeometry, dim: int,
 
 
 def change_feature(geometry: DropletGeometry, config: SolverConfig,
-                   t_next: float) -> Callable[[int, Payload], bool]:
+                   t_next: float,
+                   vectorized: bool = False) -> Callable[[int, Payload], bool]:
     """Feature: will the solver *write* this octant next step?
 
     Pre-executes the update predicate: a cell is hot when its analytic
@@ -53,6 +55,10 @@ def change_feature(geometry: DropletGeometry, config: SolverConfig,
     will touch.  This is the sharp prediction that makes feature-directed
     sampling beat history (§3.3): the set follows the moving front, and it
     is much smaller than the full interface band.
+
+    ``vectorized`` attaches the batched twin (see
+    :mod:`repro.octree.refine`): one :meth:`DropletGeometry.vof_of_cell`
+    call over every queried cell.
     """
     dim = config.dim
 
@@ -61,6 +67,47 @@ def change_feature(geometry: DropletGeometry, config: SolverConfig,
         analytic = geometry.vof_of_cell(lo, hi, t_next)
         return abs(analytic - payload[VOF]) > 1e-9
 
+    def batch(locs: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+        _, _, mins, maxs, _ = soa.geometry_of_codes(locs, dim)
+        analytic = geometry.vof_of_cell(mins, maxs, t_next)
+        return np.abs(analytic - payloads[:, VOF]) > 1e-9
+
+    if vectorized:
+        fn.batch = batch
+    return fn
+
+
+class SimTime:
+    """Simulation time shared by a simulation and the feature it registers.
+
+    The tree stores the feature and the simulation holds the tree, so a
+    feature that referenced the simulation would close a reference cycle and
+    keep a dropped tree's arenas alive until a full garbage collection.
+    """
+
+    __slots__ = ("t",)
+
+    def __init__(self, t: float = 0.0):
+        self.t = t
+
+
+def next_step_feature(geometry: DropletGeometry, config: SolverConfig,
+                      time: SimTime, vectorized: bool = False
+                      ) -> Callable[[int, Payload], bool]:
+    """:func:`change_feature` for the step after ``time.t``, read at call
+    time (the write-set predictor a droplet simulation hands to PM-octree)."""
+
+    def fn(loc: int, payload: Payload) -> bool:
+        t_next = time.t + config.dt
+        return change_feature(geometry, config, t_next)(loc, payload)
+
+    def batch(locs: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+        t_next = time.t + config.dt
+        return change_feature(geometry, config, t_next,
+                              vectorized=True).batch(locs, payloads)
+
+    if vectorized:
+        fn.batch = batch
     return fn
 
 
@@ -99,8 +146,6 @@ def partition_work_weights(lin) -> np.ndarray:
     n = len(lin)
     if n == 0:
         return np.zeros(0, dtype=np.float64)
-    from repro.solver import soa
-
     w = np.ones(n, dtype=np.float64)
     vof = lin.payloads[:, VOF]
     w += np.where((vof > 1e-6) & (vof < 1.0 - 1e-6), INTERFACE_WORK, 0.0)
@@ -110,7 +155,8 @@ def partition_work_weights(lin) -> np.ndarray:
 
 
 def interface_criterion(geometry: DropletGeometry, config: SolverConfig,
-                        t: float) -> Callable[[int, Payload], Action]:
+                        t: float, vectorized: bool = False
+                        ) -> Callable[[int, Payload], Action]:
     """AMR criterion: max resolution in the interface band, coarse far away.
 
     Matches the droplet workload in the paper: the fine region follows the
@@ -119,6 +165,10 @@ def interface_criterion(geometry: DropletGeometry, config: SolverConfig,
     Coarsening is decided on the *parent* cell's band: children created for
     an interface their parent still straddles must not vote themselves away
     on the next sweep, or the adaptation loop ping-pongs forever.
+
+    ``vectorized`` attaches the batched twin, which computes the band test
+    for every leaf, and for the parents of the coarsening candidates, in
+    one :meth:`DropletGeometry.near_interface` call each.
     """
     dim = config.dim
     near_cache: dict = {}
@@ -141,4 +191,22 @@ def interface_criterion(geometry: DropletGeometry, config: SolverConfig,
             return Action.COARSEN
         return Action.KEEP
 
+    def near_many(locs: np.ndarray):
+        levels, _, mins, maxs, _ = soa.geometry_of_codes(locs, dim)
+        return levels, geometry.near_interface(mins, maxs, t)
+
+    def batch(locs: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+        levels, near_leaf = near_many(locs)
+        actions = np.full(len(locs), Action.KEEP.value, dtype=np.int64)
+        actions[near_leaf & (levels < config.max_level)] = Action.REFINE.value
+        cand = np.nonzero(~near_leaf & (levels > config.min_level))[0]
+        if cand.size:
+            parents, inverse = np.unique(locs[cand] >> dim,
+                                         return_inverse=True)
+            near_parent = near_many(parents)[1][inverse.reshape(-1)]
+            actions[cand[~near_parent]] = Action.COARSEN.value
+        return actions
+
+    if vectorized:
+        criterion.batch = batch
     return criterion

@@ -155,8 +155,8 @@ class DropletGeometry:
 
     _unit_grids: Dict[Tuple[int, int], np.ndarray] = {}
 
-    def _sample_grid(self, lo: Sequence[float], hi: Sequence[float],
-                     samples: int) -> np.ndarray:
+    def _unit_grid(self, samples: int) -> np.ndarray:
+        """Cell-relative sample offsets, ``(samples**dim, dim)``, cached."""
         dim = self.config.dim
         key = (dim, samples)
         unit = DropletGeometry._unit_grids.get(key)
@@ -165,33 +165,28 @@ class DropletGeometry:
             grids = np.meshgrid(*([centers] * dim), indexing="ij")
             unit = np.stack([g.ravel() for g in grids], axis=1)
             DropletGeometry._unit_grids[key] = unit
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        return lo + unit * (hi - lo)
+        return unit
 
-    def vof_of_cell(self, lo: Sequence[float], hi: Sequence[float],
-                    t: float, samples: int = 3) -> float:
-        """Volume fraction of liquid in a cell, by sub-sampling."""
-        pts = self._sample_grid(lo, hi, samples)
-        return float(self.liquid_mask(pts, t).mean())
+    def vof_of_cell(self, lo, hi, t: float, samples: int = 3):
+        """Volume fraction of liquid in a cell, by sub-sampling.
 
-    def vof_of_cells(self, los: np.ndarray, his: np.ndarray, t: float,
-                     samples: int = 3) -> np.ndarray:
-        """Volume fractions of many cells at once.
-
-        Bit-identical to per-cell :meth:`vof_of_cell`: the same cached unit
-        grid, the same per-sample arithmetic applied elementwise, and a
-        per-cell mean whose 0/1 addends sum exactly in any order."""
-        dim = self.config.dim
-        unit = DropletGeometry._unit_grids.get((dim, samples))
-        if unit is None:
-            self._sample_grid([0.0] * dim, [1.0] * dim, samples)
-            unit = DropletGeometry._unit_grids[(dim, samples)]
-        los = np.asarray(los, dtype=np.float64)
-        his = np.asarray(his, dtype=np.float64)
+        ``lo``/``hi`` are one cell's corners (a float comes back) or
+        ``(N, dim)`` corner arrays (an ``(N,)`` array comes back).  One
+        kernel serves both: the same cached unit grid, the same per-sample
+        arithmetic applied elementwise, and a per-cell mean whose 0/1
+        addends sum exactly — so a cell's fraction is bit-identical alone
+        or inside a batch.
+        """
+        unit = self._unit_grid(samples)
+        los = np.asarray(lo, dtype=np.float64)
+        his = np.asarray(hi, dtype=np.float64)
+        single = los.ndim == 1
+        los = los.reshape(-1, self.config.dim)
+        his = his.reshape(-1, self.config.dim)
         pts = los[:, None, :] + unit[None, :, :] * (his - los)[:, None, :]
-        mask = self.liquid_mask(pts.reshape(-1, dim), t)
-        return mask.reshape(len(los), -1).mean(axis=1)
+        mask = self.liquid_mask(pts.reshape(-1, self.config.dim), t)
+        frac = mask.reshape(len(los), len(unit)).mean(axis=1)
+        return float(frac[0]) if single else frac
 
     def vertical_velocities(self, centers: np.ndarray, t: float) -> np.ndarray:
         """Vertical velocity at many points — ``velocity(p, t)[-1]``
@@ -209,18 +204,21 @@ class DropletGeometry:
             return (0.0, v)
         return (0.0, 0.0, v)
 
-    def near_interface(self, lo: Sequence[float], hi: Sequence[float],
-                       t: float, samples: int = 3) -> bool:
+    def near_interface(self, lo, hi, t: float, samples: int = 3):
         """Does the interface cross the (band-padded) cell?
 
         A *mixed* sampled fraction means the cell straddles the interface.
         The liquid features (jet width ~2*R0, droplet diameter ~lambda) are
         wider than a coarse cell's sample spacing, so sub-sampling cannot
-        skip over them the way corner tests would.
+        skip over them the way corner tests would.  Takes the shapes
+        :meth:`vof_of_cell` takes: one cell gives a bool, ``(N, dim)``
+        corner arrays a boolean array.
         """
-        band = self.config.interface_band
-        pad = band * max(h - loc for h, loc in zip(hi, lo))
-        padded_lo = [loc - pad for loc in lo]
-        padded_hi = [h + pad for h in hi]
-        frac = self.vof_of_cell(padded_lo, padded_hi, t, samples=samples)
-        return 0.0 < frac < 1.0
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        pad = self.config.interface_band \
+            * (hi - lo).max(axis=-1, keepdims=True)
+        frac = self.vof_of_cell(lo - pad, hi + pad, t, samples=samples)
+        if lo.ndim == 1:
+            return 0.0 < frac < 1.0
+        return (frac > 0.0) & (frac < 1.0)

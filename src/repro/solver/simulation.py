@@ -23,7 +23,8 @@ from repro.octree.balance import balance_tree
 from repro.octree.refine import RefinementEngine
 from repro.octree.store import AdaptiveTree
 from repro.solver.advection import advect_vof, initialize_vof
-from repro.solver.features import change_feature, interface_criterion
+from repro.solver.features import (SimTime, interface_criterion,
+                                   next_step_feature)
 from repro.solver.fields import count_droplets
 from repro.solver.geometry import DropletGeometry
 from repro.solver.poisson import pressure_solve, smooth_pressure
@@ -69,19 +70,25 @@ class DropletSimulation:
         #: red-black smoothing sweeps per step (0 = off)
         self.pressure_smooth = pressure_smooth
         self.step_count = 0
-        self.t = 0.0
+        self._time = SimTime()
         self.history: List[StepReport] = []
         #: optional repro.obs.Observability; phases become trace spans too
         self.obs = None
         # hand the feature function to PM-octree when driving one (§3.3):
         # the write-set predictor for the *next* step's time
+        self._next_step_feature = next_step_feature(
+            self.geometry, self.config, self._time, vectorized=vectorized)
         if hasattr(tree, "register_feature"):
             tree.register_feature(self._next_step_feature)
 
-    def _next_step_feature(self, loc, payload) -> bool:
-        """Feature bound to the next step: will this octant be written?"""
-        fn = change_feature(self.geometry, self.config, self.t + self.config.dt)
-        return fn(loc, payload)
+    @property
+    def t(self) -> float:
+        """Simulation time (shared with the registered feature)."""
+        return self._time.t
+
+    @t.setter
+    def t(self, value: float) -> None:
+        self._time.t = value
 
     def _phase(self, name: str):
         """Clock-phase context; doubles as a trace span when obs is attached."""
@@ -116,7 +123,8 @@ class DropletSimulation:
             initialize_vof(self.tree, self.geometry, self.t)
 
     def _adapt(self):
-        criterion = interface_criterion(self.geometry, self.config, self.t)
+        criterion = interface_criterion(self.geometry, self.config, self.t,
+                                        vectorized=self.vectorized)
         # balance=False: the driver runs the explicit Balance pass itself so
         # the Fig 7/8b breakdown separates Refine&Coarsen from Balance
         engine = RefinementEngine(

@@ -133,6 +133,15 @@ def cell_geometry(coords: np.ndarray, levels: np.ndarray):
     return h, mins, maxs, centers
 
 
+def geometry_of_codes(locs, dim: int):
+    """``(levels, h, mins, maxs, centers)`` of many codes at once:
+    :func:`levels_of_codes` + :func:`coords_of_codes` +
+    :func:`cell_geometry`, bit-identical to the ``morton`` scalars."""
+    levels = levels_of_codes(locs, dim)
+    coords = coords_of_codes(locs, levels, dim)
+    return (levels,) + cell_geometry(coords, levels)
+
+
 class LeafBatch:
     """Gathered SoA view of a tree's leaves, level-major on demand.
 

@@ -32,6 +32,7 @@ from repro.octree.balance import balance_tree
 from repro.octree.refine import Action, RefinementEngine
 from repro.octree.store import AdaptiveTree, Payload
 from repro.solver import soa
+from repro.solver.features import SimTime
 
 
 @dataclass
@@ -60,18 +61,35 @@ class WaveField:
     def __init__(self, config: WaveConfig):
         self.config = config
 
-    def value(self, point, t: float) -> float:
-        # Spelled so the SoA sweep can replicate it bitwise: an explicit
-        # left-to-right sum of squares (math.dist's fused form has no numpy
-        # twin), math.sqrt (bit-equal to np.sqrt), and np.exp (math.exp is
-        # NOT bit-equal to it).
+    def radius(self, point) -> float:
+        """Distance from the epicenter.
+
+        Spelled so the SoA twin :meth:`radii` replicates it bitwise: an
+        explicit left-to-right sum of squares (math.dist's fused form has
+        no numpy twin) and math.sqrt (bit-equal to np.sqrt)."""
         s = 0.0
         for p, e in zip(point, self.config.epicenter):
             d = p - e
             s += d * d
-        r = math.sqrt(s)
-        z = (r - self.config.speed * t) / self.config.width
+        return math.sqrt(s)
+
+    def radii(self, centers: np.ndarray) -> np.ndarray:
+        """:meth:`radius` of every row of an ``(N, dim)`` array."""
+        d = centers - np.asarray(self.config.epicenter, dtype=np.float64)
+        s = d[:, 0] * d[:, 0]
+        for axis in range(1, self.config.dim):
+            s = s + d[:, axis] * d[:, axis]
+        return np.sqrt(s)
+
+    def value(self, point, t: float) -> float:
+        # np.exp, because math.exp is NOT bit-equal to it (see values)
+        z = (self.radius(point) - self.config.speed * t) / self.config.width
         return float(np.exp(-z * z))
+
+    def values(self, centers: np.ndarray, t: float) -> np.ndarray:
+        """:meth:`value` of every row of an ``(N, dim)`` array."""
+        z = (self.radii(centers) - self.config.speed * t) / self.config.width
+        return np.exp(-z * z)
 
     def cell_value(self, loc: int, t: float) -> float:
         """Pulse amplitude at the cell center (adequate: the pulse is wider
@@ -80,6 +98,28 @@ class WaveField:
 
     def front_radius(self, t: float) -> float:
         return self.config.speed * t
+
+
+def next_step_feature(field: WaveField, time: SimTime,
+                      vectorized: bool = False
+                      ) -> Callable[[int, Payload], bool]:
+    """Will an octant change in the step after ``time.t``? (the §3.3
+    feature function).  The batched twin uses the
+    :meth:`WaveSimulation._sweep_batched` arithmetic."""
+    cfg = field.config
+
+    def fn(loc: int, payload: Payload) -> bool:
+        t_next = time.t + cfg.dt
+        return abs(field.cell_value(loc, t_next) - payload[0]) > 1e-6
+
+    def batch(locs: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+        centers = soa.geometry_of_codes(locs, cfg.dim)[4]
+        new = field.values(centers, time.t + cfg.dt)
+        return np.abs(new - payloads[:, 0]) > 1e-6
+
+    if vectorized:
+        fn.batch = batch
+    return fn
 
 
 @dataclass
@@ -114,36 +154,51 @@ class WaveSimulation:
         self.vectorized = vectorized
         self.obs = None
         self.step_count = 0
-        self.t = 0.0
+        self._time = SimTime()
         self.history: List[WaveStepReport] = []
+        self._next_step_feature = next_step_feature(
+            self.field, self._time, vectorized=vectorized)
         if hasattr(tree, "register_feature"):
             tree.register_feature(self._next_step_feature)
 
-    def _next_step_feature(self, loc: int, payload: Payload) -> bool:
-        """Will this octant change next step? (the §3.3 feature function)"""
-        t_next = self.t + self.config.dt
-        return abs(self.field.cell_value(loc, t_next) - payload[0]) > 1e-6
+    @property
+    def t(self) -> float:
+        """Simulation time (shared with the registered feature)."""
+        return self._time.t
+
+    @t.setter
+    def t(self, value: float) -> None:
+        self._time.t = value
 
     def _criterion(self, t: float):
         cfg = self.config
         fld = self.field
+        front = fld.front_radius(t)
+        pad = cfg.width * 2.5
 
         def criterion(loc: int, payload: Payload) -> Action:
             level = morton.level_of(loc, cfg.dim)
             # refine wherever the pulse (evaluated over the cell, padded by
             # one cell width) is significant
-            lo, hi = morton.cell_bounds(loc, cfg.dim)
             h = morton.cell_size(loc, cfg.dim)
-            center = morton.cell_center(loc, cfg.dim)
-            r = math.dist(center, cfg.epicenter)
-            front = fld.front_radius(t)
-            near = abs(r - front) < (cfg.width * 2.5 + h)
+            r = fld.radius(morton.cell_center(loc, cfg.dim))
+            near = abs(r - front) < (pad + h)
             if near and level < cfg.max_level:
                 return Action.REFINE
             if not near and level > cfg.min_level:
                 return Action.COARSEN
             return Action.KEEP
 
+        def batch(locs: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+            levels, h, _, _, centers = soa.geometry_of_codes(locs, cfg.dim)
+            near = np.abs(fld.radii(centers) - front) < (pad + h)
+            actions = np.full(len(locs), Action.KEEP.value, dtype=np.int64)
+            actions[near & (levels < cfg.max_level)] = Action.REFINE.value
+            actions[~near & (levels > cfg.min_level)] = Action.COARSEN.value
+            return actions
+
+        if self.vectorized:
+            criterion.batch = batch
         return criterion
 
     def _phase(self, name: str):
@@ -200,20 +255,13 @@ class WaveSimulation:
         with the exact :meth:`WaveField.value` arithmetic, write back the
         changed cells in leaf order (bit-identical to the scalar sweep in
         values and device metering)."""
-        cfg = self.config
         batch = soa.gather(self.tree, self.tree.leaves())
         n = len(batch)
         if self.obs is not None:
             self.obs.metrics.counter("kernel.batch_elems").inc(n)
         if n == 0:
             return 0
-        d = batch.centers - np.asarray(cfg.epicenter, dtype=np.float64)
-        s = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-        for axis in range(2, cfg.dim):
-            s = s + d[:, axis] * d[:, axis]
-        r = np.sqrt(s)
-        z = (r - cfg.speed * self.t) / cfg.width
-        new = np.exp(-z * z)
+        new = self.field.values(batch.centers, self.t)
         payloads = batch.payloads
         write_pos = np.nonzero(np.abs(payloads[:, 0] - new) > 1e-12)[0]
         loc_list = batch.loc_list

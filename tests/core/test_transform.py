@@ -155,3 +155,77 @@ def test_transformation_reduces_nvbm_writes():
     aware = run(transform=True)
     assert aware == 0  # all served from DRAM
     assert oblivious > 16
+
+
+def _level_feature(level):
+    """Feature: octants at exactly ``level`` are interesting."""
+
+    def fn(loc, payload):
+        return morton.level_of(loc, 2) == level
+
+    return fn
+
+
+def _with_batch(fn):
+    """``fn`` plus a batched twin evaluated through the scalar one."""
+    import numpy as np
+
+    calls = []
+
+    def twin(loc, payload):
+        return fn(loc, payload)
+
+    def batch(locs, payloads):
+        calls.append(len(locs))
+        return np.array([fn(int(loc), tuple(row))
+                         for loc, row in zip(locs, payloads)], dtype=bool)
+
+    twin.batch = batch
+    return twin, calls
+
+
+def test_batched_sampling_matches_scalar_sampling():
+    """One batch read and one call per feature per detection pass, with
+    the scalar pass's frequencies, rng stream and device metering."""
+    import numpy as np
+
+    from repro.core.transform import sample_frequencies
+
+    hot = morton.loc_from_coords(1, (0, 0), 2)
+    runs = []
+    for batched in (True, False):
+        rig, t = _persisted(levels=4, dram=16, n_sample_max=7)
+        fns = [_hot_region_feature(hot), _level_feature(4)]
+        calls = []
+        for fn in fns:
+            if batched:
+                fn, seen = _with_batch(fn)
+                calls.append(seen)
+            t.register_feature(fn)
+        rng = np.random.default_rng(3)
+        reads0 = rig.nvbm.device.stats.reads + rig.dram.device.stats.reads
+        freqs = sample_frequencies(t, candidate_roots(t, 2), rng)
+        reads = (rig.nvbm.device.stats.reads + rig.dram.device.stats.reads
+                 - reads0)
+        runs.append((freqs, rng.integers(1 << 30), reads, rig.clock.now_ns,
+                     t.stats.partial_reads))
+        if batched:
+            # every candidate's picks in one call per feature
+            assert calls == [[7 * 16], [7 * 16]]
+    assert runs[0] == runs[1]
+    scores = [f for f, _size in runs[0][0].values()]
+    # OR across features: the hot quadrant's candidates score higher
+    assert max(scores) > min(scores) > 0.0
+
+
+def test_sampling_falls_back_when_a_feature_has_no_batch():
+    import numpy as np
+
+    from repro.core.transform import sample_frequencies
+
+    rig, t = _persisted(levels=3, dram=16)
+    fn, calls = _with_batch(_level_feature(3))
+    t.register_feature(fn)
+    t.register_feature(_level_feature(2))  # scalar only
+    sample_frequencies(t, candidate_roots(t, 1), np.random.default_rng(0))
+    assert calls == []

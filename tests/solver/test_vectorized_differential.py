@@ -93,6 +93,11 @@ def _observables(clock, dram, nvbm, cfg, tree, sim):
 SCENARIOS = {"droplet": _droplet, "wave": _wave}
 
 
+def _adaptation(history):
+    """Per-step (refined, coarsened) counts of a run."""
+    return [(r.refined, r.coarsened) for r in history]
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("max_inflight", [0, 1, 2])
 def test_vectorized_matches_scalar(scenario, max_inflight):
@@ -105,6 +110,10 @@ def test_vectorized_matches_scalar(scenario, max_inflight):
     assert vec["nvbm_stats"] == scalar["nvbm_stats"]
     assert vec["wear"] == scalar["wear"]
     assert vec["history"] == scalar["history"]
+    # the batched refinement sweep makes the same decisions every step
+    adapt = _adaptation(vec["history"])
+    assert adapt == _adaptation(scalar["history"])
+    assert any(r for r, _ in adapt) and any(c for _, c in adapt)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -134,3 +143,4 @@ def test_parallel_runtime_matches_scalar(workload, nranks):
     assert vec.merges == scalar.merges
     assert vec.persists == scalar.persists
     assert vec.step_reports == scalar.step_reports
+    assert _adaptation(vec.step_reports) == _adaptation(scalar.step_reports)
