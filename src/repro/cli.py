@@ -452,7 +452,8 @@ def _cmd_bench(args) -> int:
             return 2
         rep = compare_envelopes(baseline, env)
         if args.json:
-            print(render_json({"regressions": rep.rows()}, rep.ok))
+            print(render_json({"regressions": rep.rows(),
+                               "not_run": rep.not_run_rows()}, rep.ok))
         elif rep.ok:
             print(f"bench: OK — {rep.checked} gates within tolerance")
         else:
@@ -464,6 +465,9 @@ def _cmd_bench(args) -> int:
             )
             for r in rep.regressions:
                 print(f"  {r.describe()}")
+        if rep.not_run and not args.json:
+            print(f"bench: not run (wall layer off, pass --wall): "
+                  f"{', '.join(rep.not_run)}")
         return 0 if rep.ok else 1
 
     if args.json:

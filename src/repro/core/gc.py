@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Set
 
-from repro.nvbm.pointers import NULL_HANDLE, is_nvbm
+from repro.nvbm.pointers import ARENA_NVBM, INDEX_BITS, NULL_HANDLE, is_nvbm
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pmoctree import PMOctree
@@ -99,7 +99,9 @@ def _mark(pmo: "PMOctree") -> Set[int]:
         seen.add(h)
         rec = pmo.nvbm.read_octant(h)
         for ch in rec.live_children():
-            if is_nvbm(ch) and ch not in seen and pmo.nvbm.contains(ch):
+            # arena tag tested inline (the hot loop of every mark)
+            if (ch >> INDEX_BITS == ARENA_NVBM and ch not in seen
+                    and pmo.nvbm.contains(ch)):
                 stack.append(ch)
     seen |= pins
     return seen

@@ -39,7 +39,8 @@ from repro.errors import ConsistencyError, GCDisabledError, ReproError
 from repro.nvbm import sites
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.failure import FailureInjector
-from repro.nvbm.pointers import NULL_HANDLE, is_dram, is_nvbm
+from repro.nvbm.pointers import (ARENA_DRAM, ARENA_NVBM, INDEX_BITS,
+                                 NULL_HANDLE, is_dram, is_nvbm)
 from repro.nvbm.records import (FLAG_DELETED, FLAG_LEAF, PAYLOAD_SPAN,
                                 OctantRecord)
 from repro.octree import morton
@@ -218,8 +219,12 @@ class PMOctree:
         except KeyError:
             raise ReproError(f"octant {loc:#x} not in PM-octree") from None
 
+    # The per-access helpers below test a handle's arena tag inline
+    # (``handle >> INDEX_BITS == ARENA_DRAM``, false for NULL) instead of
+    # calling is_dram once per handle.
+
     def _arena_of(self, handle: int) -> MemoryArena:
-        return self.dram if is_dram(handle) else self.nvbm
+        return self.dram if handle >> INDEX_BITS == ARENA_DRAM else self.nvbm
 
     def get_payload(self, loc: int) -> Payload:
         handle = self.handle_of(loc)
@@ -286,7 +291,8 @@ class PMOctree:
         handles = []
         for loc in locs:
             handle = self.handle_of(loc)
-            self._touch_c0(loc, handle)
+            if handle >> INDEX_BITS == ARENA_DRAM:
+                self._touch_c0(loc, handle)
             handles.append(handle)
         n = len(handles)
         if n:
@@ -296,12 +302,14 @@ class PMOctree:
         return handles
 
     def _split_read(self, handles, out, reader):
-        dram_pos = [i for i, h in enumerate(handles) if is_dram(h)]
+        dram_pos = [i for i, h in enumerate(handles)
+                    if h >> INDEX_BITS == ARENA_DRAM]
         if dram_pos:
             out[dram_pos] = reader(self.dram,
                                    [handles[i] for i in dram_pos])
         if len(dram_pos) != len(handles):
-            nv_pos = [i for i, h in enumerate(handles) if not is_dram(h)]
+            nv_pos = [i for i, h in enumerate(handles)
+                      if h >> INDEX_BITS != ARENA_DRAM]
             out[nv_pos] = reader(self.nvbm, [handles[i] for i in nv_pos])
         return out
 
@@ -626,7 +634,7 @@ class PMOctree:
             walk = morton.parent_of(walk, self.dim)
 
     def _touch_c0(self, loc: int, handle: int) -> None:
-        if is_dram(handle):
+        if handle >> INDEX_BITS == ARENA_DRAM:
             croot = self._c0_root_of(loc)
             if croot is not None:
                 self._c0_roots[croot].accesses += 1
@@ -937,7 +945,7 @@ class PMOctree:
                 seen.add(h)
                 rec = self.nvbm.read_octant(h)
                 for ch in rec.live_children():
-                    if is_nvbm(ch):
+                    if ch >> INDEX_BITS == ARENA_NVBM:
                         stack.append(ch)
         return seen
 

@@ -32,7 +32,8 @@ from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import Category
 from repro.nvbm.device import LINES_PER_RECORD
 from repro.nvbm.failure import FailureInjector
-from repro.nvbm.pointers import NULL_HANDLE, is_dram, is_nvbm
+from repro.nvbm.pointers import (ARENA_NVBM, INDEX_BITS, NULL_HANDLE, is_dram,
+                                 is_nvbm)
 from repro.nvbm.records import OctantRecord, pack_record, unpack_record
 from repro.octree import morton
 
@@ -122,7 +123,7 @@ def _restore_traverse(pmo: "PMOctree") -> int:
                     raise ConsistencyError(
                         f"internal record {handle:#x} has a null child slot"
                     )
-                if not is_nvbm(ch):
+                if ch >> INDEX_BITS != ARENA_NVBM:
                     raise ConsistencyError(
                         f"persistent record {handle:#x} points into DRAM"
                     )
@@ -582,7 +583,7 @@ def _scrub_visit(pmo: "PMOctree", path, replica, transport,
     if rec.is_leaf:
         return
     for idx, ch in enumerate(rec.children[: morton.fanout(pmo.dim)]):
-        if ch == NULL_HANDLE or not is_nvbm(ch):
+        if ch >> INDEX_BITS != ARENA_NVBM:  # NULL or a DRAM handle
             continue
         path.append([morton.child_of(loc, pmo.dim, idx), ch, None])
         _scrub_visit(pmo, path, replica, transport, report, unrepaired)

@@ -20,7 +20,10 @@ The one exception is the opt-in wall-clock layer (``run_bench(wall=True)``,
 CLI ``--wall``): :func:`bench_kernels` times the *host* execution of the
 advect sweep, scalar vs SoA-vectorized, and gates the speedup ratio via
 :data:`WALL_GATES`.  Wall numbers vary across machines, so they are kept
-out of the default (byte-deterministic) envelope.
+out of the default (byte-deterministic) envelope.  An envelope whose wall
+layer ran says so (``"wall": true``); comparing one that did not against a
+baseline with wall gates reports those gates as *not run* rather than
+failing them, so ``bench --compare`` gates the deterministic layer alone.
 """
 
 from __future__ import annotations
@@ -435,7 +438,8 @@ def run_bench(pr: int = 0, wall: bool = False) -> Dict[str, Any]:
     if wall:
         metrics.update(bench_kernels())
         gates = GATES + WALL_GATES
-    return bench_envelope(pr=pr, suite=SUITE, metrics=metrics, gates=gates)
+    return bench_envelope(pr=pr, suite=SUITE, metrics=metrics, gates=gates,
+                          wall=wall)
 
 
 # ------------------------------------------------------------------ comparison
@@ -486,9 +490,15 @@ class CompareReport:
     ok: bool
     checked: int
     regressions: List[Regression] = field(default_factory=list)
+    #: wall-layer gates skipped because the current run had no wall layer
+    not_run: List[str] = field(default_factory=list)
 
     def rows(self) -> List[Dict[str, Any]]:
         return [r.to_row() for r in self.regressions]
+
+    def not_run_rows(self) -> List[Dict[str, Any]]:
+        return [{"metric": m, "detail": "wall-clock layer did not run"}
+                for m in self.not_run]
 
 
 def compare_envelopes(baseline: Dict[str, Any],
@@ -497,7 +507,9 @@ def compare_envelopes(baseline: Dict[str, Any],
 
     The baseline's gate list governs so a PR cannot silently loosen its own
     thresholds; schema mismatches and metrics that vanished are failures in
-    their own right, not skips.
+    their own right, not skips.  The one skip: a :data:`WALL_GATES` metric
+    absent from a current envelope whose wall layer did not run is listed
+    in ``not_run`` (that layer is opt-in and machine-dependent).
     """
     regressions: List[Regression] = []
     for env, label in ((baseline, "baseline"), (current, "current")):
@@ -512,6 +524,9 @@ def compare_envelopes(baseline: Dict[str, Any],
 
     base_metrics = baseline.get("metrics", {})
     curr_metrics = current.get("metrics", {})
+    wall_ran = current.get("wall") is True
+    wall_metrics = {g["metric"] for g in WALL_GATES}
+    not_run: List[str] = []
     checked = 0
     for gate in baseline.get("gates", []):
         name = gate["metric"]
@@ -520,6 +535,9 @@ def compare_envelopes(baseline: Dict[str, Any],
         if name not in base_metrics:
             continue  # the baseline never measured it; nothing to gate
         if name not in curr_metrics:
+            if name in wall_metrics and not wall_ran:
+                not_run.append(name)
+                continue
             regressions.append(Regression(
                 metric=name, kind="missing", direction=direction,
                 tolerance=tol, baseline=float(base_metrics[name]),
@@ -538,4 +556,4 @@ def compare_envelopes(baseline: Dict[str, Any],
                 tolerance=tol, baseline=base_v, current=curr_v,
             ))
     return CompareReport(ok=not regressions, checked=checked,
-                         regressions=regressions)
+                         regressions=regressions, not_run=not_run)

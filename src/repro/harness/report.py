@@ -122,21 +122,27 @@ def render_json(sections: Dict[str, Iterable[Dict[str, Any]]],
 
 
 def bench_envelope(pr: int, suite: str, metrics: Dict[str, float],
-                   gates: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+                   gates: Iterable[Dict[str, Any]],
+                   wall: bool = False) -> Dict[str, Any]:
     """Build the schema-versioned benchmark envelope CI gates on.
 
     Deliberately carries **no wall-clock timestamp**: every metric is a
     simulated quantity, so the same commit produces byte-identical
     envelopes on any machine — which is what makes committing
-    ``BENCH_pr<N>.json`` meaningful.
+    ``BENCH_pr<N>.json`` meaningful.  ``wall=True`` marks an envelope whose
+    machine-dependent wall-clock layer ran (``"wall": true``); the key is
+    absent otherwise, so the default envelope's bytes do not change.
     """
-    return {
+    env = {
         "schema": BENCH_SCHEMA,
         "pr": int(pr),
         "suite": suite,
         "metrics": {k: metrics[k] for k in sorted(metrics)},
         "gates": [dict(g) for g in gates],
     }
+    if wall:
+        env["wall"] = True
+    return env
 
 
 def validate_envelope(env: Dict[str, Any]) -> List[str]:
@@ -152,6 +158,8 @@ def validate_envelope(env: Dict[str, Any]) -> List[str]:
         problems.append("pr is not an integer")
     if not isinstance(env.get("suite"), str):
         problems.append("suite is not a string")
+    if "wall" in env and not isinstance(env["wall"], bool):
+        problems.append("wall is not a boolean")
     metrics = env.get("metrics")
     if not isinstance(metrics, dict) or not metrics:
         problems.append("metrics is not a non-empty object")

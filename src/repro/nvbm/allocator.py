@@ -38,7 +38,10 @@ class RecordAllocator:
         self.name = name
         self._bump = 0
         self._free: List[int] = []
-        self._allocated = np.zeros(capacity, dtype=bool)
+        #: liveness bitmap, one byte per slot (1 = allocated).  The owning
+        #: arena aliases it for its inline handle check, so it stays the
+        #: same object for the allocator's lifetime (``reset`` included).
+        self._allocated = bytearray(capacity)
         self._retired: Set[int] = set()
 
     @property
@@ -68,13 +71,13 @@ class RecordAllocator:
                 raise OutOfMemoryError(self.name, self.capacity)
             if idx not in self._retired:
                 break
-        self._allocated[idx] = True
+        self._allocated[idx] = 1
         return idx
 
     def free(self, index: int) -> None:
         """Return an index to the free list."""
         self._validate(index)
-        self._allocated[index] = False
+        self._allocated[index] = 0
         self._free.append(index)
 
     def retire(self, index: int) -> None:
@@ -85,11 +88,17 @@ class RecordAllocator:
         (``free_fraction`` treats retired slots as spent).
         """
         self._validate(index)
-        self._allocated[index] = False
+        self._allocated[index] = 0
         self._retired.add(index)
 
     def is_retired(self, index: int) -> bool:
         return index in self._retired
+
+    @property
+    def live_bitmap(self) -> bytearray:
+        """The liveness bitmap itself (not a copy): byte ``i`` is 1 while
+        slot ``i`` is allocated."""
+        return self._allocated
 
     def is_allocated(self, index: int) -> bool:
         return 0 <= index < self.capacity and bool(self._allocated[index])
@@ -102,13 +111,14 @@ class RecordAllocator:
 
     def live_indices(self) -> Iterator[int]:
         """Iterate over currently-allocated indices (for GC sweeps)."""
-        return iter(np.flatnonzero(self._allocated[: self._bump]))
+        bitmap = np.frombuffer(self._allocated, dtype=np.uint8)
+        return iter(np.flatnonzero(bitmap[: self._bump]))
 
     def reset(self) -> None:
         """Drop all allocations (used when a volatile arena loses power)."""
         self._bump = 0
         self._free.clear()
-        self._allocated[:] = False
+        self._allocated[:] = bytes(self.capacity)  # in place: the arena aliases it
         self._retired.clear()
 
 
@@ -139,17 +149,17 @@ class WearLevelingAllocator(RecordAllocator):
                 raise OutOfMemoryError(self.name, self.capacity)
             if idx not in self._retired:
                 break
-        self._allocated[idx] = True
+        self._allocated[idx] = 1
         return idx
 
     def free(self, index: int) -> None:
         self._validate(index)
-        self._allocated[index] = False
+        self._allocated[index] = 0
         self._fifo.append(index)
 
     @property
     def used(self) -> int:
-        return int(self._allocated.sum())
+        return self._allocated.count(1)
 
     def reset(self) -> None:
         super().reset()

@@ -20,6 +20,27 @@ Crash model
   ``clflush``/``mfence`` sequence at a persist point), and root-slot updates
   are 8-byte atomic write-throughs — the *only* ordered write PM-octree
   needs (§3).
+
+Access path
+-----------
+Every record access runs one of two sequences, each in one frame:
+
+* **load** (:meth:`MemoryArena._load`, behind :meth:`~MemoryArena.read`,
+  :meth:`~MemoryArena.read_field`, :meth:`~MemoryArena.read_octant`, the
+  typed field readers and the batched gathers): handle check (arena tag,
+  then the allocator's liveness bit) → device charge (skipped inside
+  ``unmetered()``; a batched gather charges its records in one sum) →
+  fetch (write-back cache first, then the backing store) → verify (a
+  metered read served by the backing store: media-fault model on the
+  spanned lines, then the record's CRC seal).
+* **store** (:meth:`MemoryArena._store`, behind :meth:`~MemoryArena.write`
+  and :meth:`~MemoryArena.write_field`): handle and argument checks →
+  device charge (stats, wear, fault-model refresh; time to the clock, the
+  deferred sink or the open write batch) → tracer and obs → the bytes
+  land (backing store on DRAM; cache plus dirty-line mask on NVBM).
+
+Nothing is cached between accesses: every metered read of a sealed record
+recomputes its CRC, so corruption planted in the backing store is caught.
 """
 
 from __future__ import annotations
@@ -29,11 +50,16 @@ from typing import Dict, Iterator, Optional
 import numpy as np
 
 from repro.config import CACHE_LINE_SIZE, OCTANT_RECORD_SIZE, DeviceSpec
-from repro.errors import ConsistencyError, InvalidHandleError, MediaError
+from repro.errors import (
+    ConsistencyError,
+    InvalidHandleError,
+    MediaError,
+    ReproError,
+)
 from repro.nvbm.allocator import RecordAllocator
 from repro.nvbm.clock import SimClock
 from repro.nvbm.device import MemoryDevice, lines_spanned
-from repro.nvbm.pointers import arena_of, index_of, make_handle
+from repro.nvbm.pointers import INDEX_BITS, INDEX_MASK, make_handle
 from repro.nvbm.records import (
     EPOCH_SPAN,
     FLAGS_SPAN,
@@ -55,15 +81,13 @@ FENCE_NS = 250.0
 _LINES_PER_RECORD = OCTANT_RECORD_SIZE // CACHE_LINE_SIZE
 _ALL_LINES_MASK = (1 << _LINES_PER_RECORD) - 1
 
-
-def _line_mask(offset: int, nbytes: int) -> int:
-    """Bitmask of the record cache lines ``[offset, offset + nbytes)`` spans."""
-    first = offset // CACHE_LINE_SIZE
-    last = (offset + max(1, nbytes) - 1) // CACHE_LINE_SIZE
-    mask = 0
-    for line in range(first, last + 1):
-        mask |= 1 << line
-    return mask
+# (offset, size, lines spanned, first line) of the fixed-span typed fields
+_PAYLOAD_ACCESS = (*PAYLOAD_SPAN, lines_spanned(*PAYLOAD_SPAN),
+                   PAYLOAD_SPAN[0] // CACHE_LINE_SIZE)
+_EPOCH_ACCESS = (*EPOCH_SPAN, lines_spanned(*EPOCH_SPAN),
+                 EPOCH_SPAN[0] // CACHE_LINE_SIZE)
+_FLAGS_ACCESS = (*FLAGS_SPAN, lines_spanned(*FLAGS_SPAN),
+                 FLAGS_SPAN[0] // CACHE_LINE_SIZE)
 
 
 class RootSlots:
@@ -147,6 +171,10 @@ class MemoryArena:
                                                    name=self.name)
         else:
             self.allocator = RecordAllocator(capacity_octants, name=self.name)
+        # aliases for the inline handle check (the bitmap is never replaced)
+        self._live = self.allocator.live_bitmap
+        self._nslots = self.allocator.capacity
+        self._volatile = spec.volatile
         self._backing: Dict[int, bytes] = {}
         self._cache: Dict[int, bytes] = {}
         #: per-record CRC seal, kept *out-of-band* (idx -> CRC32 over the
@@ -195,14 +223,14 @@ class MemoryArena:
     # -- raw record access ---------------------------------------------------
 
     def _check(self, handle: int) -> int:
-        if arena_of(handle) != self.arena_id:
+        """Record index of a live handle of this arena; raise otherwise."""
+        if self.contains(handle):
+            return handle & INDEX_MASK
+        if handle >> INDEX_BITS != self.arena_id:
             raise InvalidHandleError(
                 f"handle {handle:#x} does not belong to arena {self.name!r}"
             )
-        idx = index_of(handle)
-        if not self.allocator.is_allocated(idx):
-            raise InvalidHandleError(f"{self.name}: handle {handle:#x} is not allocated")
-        return idx
+        raise InvalidHandleError(f"{self.name}: handle {handle:#x} is not allocated")
 
     def alloc(self) -> int:
         """Allocate a record slot and return its handle (contents undefined)."""
@@ -245,66 +273,79 @@ class MemoryArena:
         """Arm a :class:`repro.nvbm.device.MediaFaultModel` on this arena."""
         self.device.attach_fault_model(model)
 
-    def _verify_media(self, idx: int, line0: int, nlines: int,
-                      data: bytes) -> None:
-        """Media-fault + CRC checks for a metered read served from backing.
+    def _load(self, handle: int, nbytes: int, nlines: int, line0: int,
+              charge: bool = True) -> bytes:
+        """The read sequence: check → charge → fetch → verify; returns the
+        whole record's bytes (read-your-writes through the cache).
 
-        Verification itself charges nothing (it models the DIMM's per-line
-        ECC riding along with the read); only the faults it *surfaces* cost
-        anything, via the repair ladder's retries and rebuild traffic.
+        The charge is one read of ``nbytes`` over ``nlines`` cache lines
+        (``charge=False``: the batched gathers sum it themselves).  A read
+        served by the *backing store* (the medium, not the volatile
+        write-back cache) checks media faults on lines ``[line0, line0 +
+        nlines)`` and CRC-verifies the covering record (the CRC's unit of
+        protection is the whole 128-byte record).  Verification itself
+        charges nothing (it models the DIMM's per-line ECC riding along
+        with the read); only the faults it *surfaces* cost anything, via
+        the repair ladder's retries and rebuild traffic.  Inside
+        ``unmetered()`` neither charge nor verification happens.
         """
+        idx = handle & INDEX_MASK
+        if (handle >> INDEX_BITS != self.arena_id or idx >= self._nslots
+                or not self._live[idx]):
+            self._check(handle)  # raises with the precise reason
         dev = self.device
-        if dev._unmetered:
-            return
-        if dev.fault_model is not None:
-            dev.check_media(idx, line0, nlines)
-        crc = self._sealed.get(idx)
-        if crc is not None and record_crc(data) != crc:
-            base = idx * _LINES_PER_RECORD
-            raise MediaError(
-                self.name, idx, "crc",
-                lines=tuple(range(base, base + _LINES_PER_RECORD)),
-                detail="sealed record failed CRC verification",
-            )
-
-    def read(self, handle: int) -> bytes:
-        """Load a record, read-your-writes through the cache.
-
-        A read served by the *backing store* (the medium, not the volatile
-        write-back cache) passes through media-fault and CRC verification;
-        see :meth:`_verify_media`.
-        """
-        idx = self._check(handle)
-        self.device.on_read(OCTANT_RECORD_SIZE)
+        if charge:
+            dev.on_read(nbytes, nlines)
         data = self._cache.get(idx)
         if data is None:
             data = self._backing.get(idx)
-            if data is not None and (
-                self.device.fault_model is not None or idx in self._sealed
-            ):
-                self._verify_media(idx, 0, _LINES_PER_RECORD, data)
-        if data is None:
-            raise ConsistencyError(
-                f"{self.name}: handle {handle:#x} allocated but never written "
-                "(likely a dangling pointer into torn/unflushed memory)"
-            )
+            if data is None:
+                raise ConsistencyError(
+                    f"{self.name}: handle {handle:#x} allocated but never "
+                    "written (likely a dangling pointer into torn/unflushed "
+                    "memory)"
+                )
+            if not dev._unmetered:
+                if dev.fault_model is not None:
+                    dev.check_media(idx, line0, nlines)
+                crc = self._sealed.get(idx)
+                if crc is not None and record_crc(data) != crc:
+                    base = idx * _LINES_PER_RECORD
+                    raise MediaError(
+                        self.name, idx, "crc",
+                        lines=tuple(range(base, base + _LINES_PER_RECORD)),
+                        detail="sealed record failed CRC verification",
+                    )
         return data
+
+    def _store(self, handle: int, idx: int, data: bytes, nbytes: int,
+               nlines: int, line0: int, mask: int) -> None:
+        """The store sequence after the checks: charge ``nbytes`` over
+        ``nlines`` lines from ``line0`` → tracer/obs → land ``data`` (the
+        whole new record).  ``mask`` is the dirty-line set the store adds
+        on a non-volatile arena."""
+        self.device.on_write(nbytes, slot=idx, lines=nlines, line0=line0)
+        if self.tracer is not None:
+            self.tracer.on_store(handle, cached=not self._volatile)
+        if self._m_stores is not None:
+            self._m_stores.inc()
+        if self._volatile:
+            self._backing[idx] = data
+        else:
+            self._cache[idx] = data
+            self._dirty_lines[idx] = self._dirty_lines.get(idx, 0) | mask
+
+    def read(self, handle: int) -> bytes:
+        """Load a whole record (see :meth:`_load`)."""
+        return self._load(handle, OCTANT_RECORD_SIZE, _LINES_PER_RECORD, 0)
 
     def write(self, handle: int, data: bytes) -> None:
         """Store a record.  On NVBM the store lands in the volatile cache."""
         idx = self._check(handle)
         if len(data) != OCTANT_RECORD_SIZE:
             raise ValueError(f"record must be {OCTANT_RECORD_SIZE} bytes")
-        self.device.on_write(OCTANT_RECORD_SIZE, slot=idx)
-        if self.tracer is not None:
-            self.tracer.on_store(handle, cached=not self.spec.volatile)
-        if self._m_stores is not None:
-            self._m_stores.inc()
-        if self.spec.volatile:
-            self._backing[idx] = data
-        else:
-            self._cache[idx] = data
-            self._dirty_lines[idx] = _ALL_LINES_MASK
+        self._store(handle, idx, data, OCTANT_RECORD_SIZE, _LINES_PER_RECORD,
+                    0, _ALL_LINES_MASK)
 
     # -- field-granular access ------------------------------------------------
     #
@@ -327,27 +368,9 @@ class MemoryArena:
 
     def read_field(self, handle: int, offset: int, size: int) -> bytes:
         """Load ``size`` bytes at ``offset`` of a record, charging only the
-        cache lines the span touches (read-your-writes through the cache).
-
-        A backing-served field read checks media faults on the spanned
-        lines and CRC-verifies the *covering record* (the CRC's unit of
-        protection is the whole 128-byte record)."""
-        idx = self._check(handle)
-        nlines = lines_spanned(offset, size)
-        self.device.on_read(size, lines=nlines)
-        data = self._cache.get(idx)
-        if data is None:
-            data = self._backing.get(idx)
-            if data is not None and (
-                self.device.fault_model is not None or idx in self._sealed
-            ):
-                self._verify_media(idx, offset // CACHE_LINE_SIZE,
-                                   nlines, data)
-        if data is None:
-            raise ConsistencyError(
-                f"{self.name}: handle {handle:#x} allocated but never written "
-                "(field access needs an existing record)"
-            )
+        cache lines the span touches (see :meth:`_load`)."""
+        data = self._load(handle, size, lines_spanned(offset, size),
+                          offset // CACHE_LINE_SIZE)
         return data[offset:offset + size]
 
     def write_field(self, handle: int, offset: int, data: bytes) -> None:
@@ -365,27 +388,20 @@ class MemoryArena:
                 f"field [{offset}, {offset + size}) outside the record"
             )
         base = self._base_bytes(idx, handle)
-        merged = base[:offset] + data + base[offset + size:]
-        self.device.on_write(size, slot=idx,
-                             lines=lines_spanned(offset, size),
-                             line0=offset // CACHE_LINE_SIZE)
-        if self.tracer is not None:
-            self.tracer.on_store(handle, cached=not self.spec.volatile)
-        if self._m_stores is not None:
-            self._m_stores.inc()
-        if self.spec.volatile:
-            self._backing[idx] = merged
-        else:
-            self._cache[idx] = merged
-            self._dirty_lines[idx] = (
-                self._dirty_lines.get(idx, 0) | _line_mask(offset, size)
-            )
+        line0 = offset // CACHE_LINE_SIZE
+        # an empty store still touches the line at offset (lines_spanned)
+        nlines = ((offset + size - 1) // CACHE_LINE_SIZE - line0 + 1
+                  if size else 1)
+        self._store(handle, idx, base[:offset] + data + base[offset + size:],
+                    size, nlines, line0, ((1 << nlines) - 1) << line0)
 
     # typed field convenience -------------------------------------------------
 
     def read_payload(self, handle: int):
         """The 4-float payload alone (one cache line, not two)."""
-        return unpack_payload(self.read_field(handle, *PAYLOAD_SPAN))
+        off, size, nlines, line0 = _PAYLOAD_ACCESS
+        return unpack_payload(
+            self._load(handle, size, nlines, line0)[off:off + size])
 
     def write_payload(self, handle: int, payload) -> None:
         self.write_field(handle, PAYLOAD_SPAN[0], pack_payload(payload))
@@ -393,38 +409,35 @@ class MemoryArena:
     # batched field reads ---------------------------------------------------
     #
     # The SoA gather path loads one field (or the payload) of many records
-    # at once.  Each record still goes through the scalar read's validity
-    # check and — when served from the backing store — media-fault/CRC
-    # verification, in order; only the *device charge* is batched, as one
-    # ``on_read_batch`` carrying the exact per-element totals (n reads,
-    # n * size bytes, n * lines_spanned lines).  Verification runs before
-    # the charge, so under a rot-enabled fault model the deadline check
-    # sees a clock that lags the scalar trajectory by at most the batch's
-    # own read latency; every other device observable is identical.
+    # at once.  Each record still runs the read sequence of :meth:`_load`
+    # (check, fetch, verify), in order; only the *device charge* is
+    # batched, as one ``on_read_batch`` carrying the exact per-element
+    # totals (n reads, n * size bytes, n * lines_spanned lines).  The
+    # charge comes after the loop, so under a rot-enabled fault model the
+    # deadline check sees a clock that lags the scalar trajectory by at
+    # most the batch's own read latency.  When a record raises, the reads
+    # the scalar loop would have charged by then — every earlier record,
+    # plus the failing one unless its handle check failed — are charged
+    # before the error propagates, so ``DeviceStats`` and the clock match
+    # that loop at the raise as well as on success.
 
     def _read_field_chunks(self, handles, offset: int, size: int) -> bytes:
         nlines = lines_spanned(offset, size)
         line0 = offset // CACHE_LINE_SIZE
-        verify = self.device.fault_model is not None
-        cache = self._cache
-        backing = self._backing
-        sealed = self._sealed
+        end = offset + size
+        load = self._load
         chunks = []
-        for handle in handles:
-            idx = self._check(handle)
-            data = cache.get(idx)
-            if data is None:
-                data = backing.get(idx)
-                if data is not None and (verify or idx in sealed):
-                    self._verify_media(idx, line0, nlines, data)
-            if data is None:
-                raise ConsistencyError(
-                    f"{self.name}: handle {handle:#x} allocated but never "
-                    "written (field access needs an existing record)"
-                )
-            chunks.append(data[offset:offset + size])
-        self.device.on_read_batch(len(chunks), size * len(chunks),
-                                  nlines * len(chunks))
+        try:
+            for handle in handles:
+                chunks.append(load(handle, size, nlines, line0, False)[offset:end])
+        except ReproError as exc:
+            # a handle that passed its check was charged by the scalar read
+            # before the fetch/verify that raised
+            n = len(chunks) + (not isinstance(exc, InvalidHandleError))
+            self.device.on_read_batch(n, size * n, nlines * n)
+            raise
+        n = len(chunks)
+        self.device.on_read_batch(n, size * n, nlines * n)
         return b"".join(chunks)
 
     def read_payload_batch(self, handles) -> np.ndarray:
@@ -444,10 +457,13 @@ class MemoryArena:
         return np.frombuffer(blob, dtype="<f8")
 
     def read_epoch(self, handle: int) -> int:
-        return unpack_epoch(self.read_field(handle, *EPOCH_SPAN))
+        off, size, nlines, line0 = _EPOCH_ACCESS
+        return unpack_epoch(
+            self._load(handle, size, nlines, line0)[off:off + size])
 
     def read_flags(self, handle: int) -> int:
-        return self.read_field(handle, *FLAGS_SPAN)[0]
+        off, size, nlines, line0 = _FLAGS_ACCESS
+        return self._load(handle, size, nlines, line0)[off]
 
     def set_flags(self, handle: int, flags: int) -> None:
         """Store the one-byte flags field (a single-line flag flip)."""
@@ -465,15 +481,15 @@ class MemoryArena:
 
     def contains(self, handle: int) -> bool:
         """True when the handle is a live allocation in this arena."""
-        return (
-            arena_of(handle) == self.arena_id
-            and self.allocator.is_allocated(index_of(handle))
-        )
+        idx = handle & INDEX_MASK
+        return (handle >> INDEX_BITS == self.arena_id and idx < self._nslots
+                and self._live[idx] == 1)
 
     # -- octant-level convenience -------------------------------------------
 
     def read_octant(self, handle: int) -> OctantRecord:
-        return unpack_record(self.read(handle))
+        return unpack_record(
+            self._load(handle, OCTANT_RECORD_SIZE, _LINES_PER_RECORD, 0))
 
     def write_octant(self, handle: int, rec: OctantRecord) -> None:
         self.write(handle, pack_record(rec))
@@ -508,7 +524,7 @@ class MemoryArena:
         medium by a crash carry no integrity claim.
         """
         if not self.device._unmetered:
-            self.device.clock.advance(FENCE_NS, self.device._category)
+            self.device.clock.charge(FENCE_NS, self.device._cat_key)
         if self.tracer is not None:
             self.tracer.on_flush(
                 [make_handle(self.arena_id, idx) for idx in self._cache]
@@ -520,7 +536,7 @@ class MemoryArena:
             self._m_flush_calls.inc()
             self._m_flush_records.inc(len(self._cache))
         self._backing.update(self._cache)
-        if not self.spec.volatile:
+        if not self._volatile:
             for idx, data in self._cache.items():
                 self._sealed[idx] = record_crc(data)
         self._cache.clear()
@@ -536,10 +552,13 @@ class MemoryArena:
         (which would re-order durability across epochs).  Handles that are
         no longer cached (already flushed, or freed by GC) are skipped.
         """
-        idxs = [index_of(h) for h in handles
-                if arena_of(h) == self.arena_id and index_of(h) in self._cache]
+        aid, cache = self.arena_id, self._cache
+        # dict.fromkeys: a repeated handle is already flushed the second time
+        idxs = list(dict.fromkeys(h & INDEX_MASK for h in handles
+                                  if h >> INDEX_BITS == aid
+                                  and h & INDEX_MASK in cache))
         if not self.device._unmetered:
-            self.device.clock.advance(FENCE_NS, self.device._category)
+            self.device.clock.charge(FENCE_NS, self.device._cat_key)
         if self.tracer is not None:
             self.tracer.on_flush(
                 [make_handle(self.arena_id, idx) for idx in idxs]
@@ -550,7 +569,7 @@ class MemoryArena:
         for idx in idxs:
             data = self._cache.pop(idx)
             self._backing[idx] = data
-            if not self.spec.volatile:
+            if not self._volatile:
                 self._sealed[idx] = record_crc(data)
             self._dirty_lines.pop(idx, None)
 

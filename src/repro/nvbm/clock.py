@@ -43,8 +43,13 @@ class SimClock:
         """Move simulated time forward by ``ns`` nanoseconds."""
         if ns < 0:
             raise ValueError(f"cannot advance clock by negative time: {ns}")
+        self.charge(ns, category.value)
+
+    def charge(self, ns: float, key: str) -> None:
+        """:meth:`advance` for a caller that already holds a non-negative
+        ``ns`` and the category's string key (the device meters resolve
+        both once, at construction)."""
         self.now_ns += ns
-        key = category.value
         self.by_category[key] = self.by_category.get(key, 0.0) + ns
         if self._phase_stack:
             ph = self._phase_stack[-1]

@@ -24,6 +24,10 @@ from repro.nvbm.clock import Category, SimClock
 #: granularity (a *global line id* is ``slot * LINES_PER_RECORD + line``).
 LINES_PER_RECORD = OCTANT_RECORD_SIZE // CACHE_LINE_SIZE
 
+#: Wear table :meth:`MemoryDevice.check_media` consults when the fault
+#: model's wear-out mechanism is off: every lookup falls past its end.
+_NO_WEAR = np.zeros(0, dtype=np.int64)
+
 
 def lines_spanned(offset: int, nbytes: int) -> int:
     """Cache lines the byte range ``[offset, offset + nbytes)`` touches.
@@ -202,6 +206,11 @@ class MemoryDevice:
         self.fault_model: Optional[MediaFaultModel] = None
         self._wear = np.zeros(0, dtype=np.int64)
         self._category = Category.MEM_DRAM if spec.volatile else Category.MEM_NVBM
+        # resolved once: every access charges through these, never through
+        # the spec or the enum
+        self._cat_key = self._category.value
+        self._read_ns = spec.read_latency_ns
+        self._write_ns = spec.write_latency_ns
         #: depth of nested unmetered() sections; >0 suppresses all charging
         self._unmetered = 0
         #: active deferred-writes sink, or None.  When set, the *clock*
@@ -315,7 +324,7 @@ class MemoryDevice:
         if b.sink is not None and b.sink_ns:
             b.sink.ns += b.sink_ns
         if b.clock_ns:
-            self.clock.advance(b.clock_ns, self._category)
+            self.clock.charge(b.clock_ns, self._cat_key)
         if self._m_writes is not None:
             self._m_writes.inc(b.count)
             self._m_bytes_written.inc(b.nbytes)
@@ -345,10 +354,11 @@ class MemoryDevice:
         """
         if self._unmetered or count <= 0:
             return
-        self.stats.reads += count
-        self.stats.bytes_read += nbytes
-        self.stats.lines_read += lines
-        self.clock.advance(lines * self.spec.read_latency_ns, self._category)
+        st = self.stats
+        st.reads += count
+        st.bytes_read += nbytes
+        st.lines_read += lines
+        self.clock.charge(lines * self._read_ns, self._cat_key)
         if self._m_reads is not None:
             self._m_reads.inc(count)
             self._m_bytes_read.inc(nbytes)
@@ -365,10 +375,11 @@ class MemoryDevice:
             return
         if lines <= 0:
             lines = self._lines(nbytes)
-        self.stats.reads += 1
-        self.stats.bytes_read += nbytes
-        self.stats.lines_read += lines
-        self.clock.advance(lines * self.spec.read_latency_ns, self._category)
+        st = self.stats
+        st.reads += 1
+        st.bytes_read += nbytes
+        st.lines_read += lines
+        self.clock.charge(lines * self._read_ns, self._cat_key)
         if self._m_reads is not None:
             self._m_reads.inc()
             self._m_bytes_read.inc(nbytes)
@@ -388,12 +399,12 @@ class MemoryDevice:
             return
         if lines <= 0:
             lines = self._lines(nbytes)
+        ns = lines * self._write_ns
         if self._write_batch is not None:
             b = self._write_batch
             b.count += 1
             b.nbytes += nbytes
             b.lines += lines
-            ns = lines * self.spec.write_latency_ns
             sink = self._deferred_sink
             if sink is not None:
                 if b.sink is not None and b.sink is not sink:
@@ -407,14 +418,14 @@ class MemoryDevice:
                 base = slot * LINES_PER_RECORD + line0
                 b.line_ids.extend(range(base, base + lines))
             return
-        self.stats.writes += 1
-        self.stats.bytes_written += nbytes
-        self.stats.lines_written += lines
+        st = self.stats
+        st.writes += 1
+        st.bytes_written += nbytes
+        st.lines_written += lines
         if self._deferred_sink is not None:
-            self._deferred_sink.ns += lines * self.spec.write_latency_ns
+            self._deferred_sink.ns += ns
         else:
-            self.clock.advance(lines * self.spec.write_latency_ns,
-                               self._category)
+            self.clock.charge(ns, self._cat_key)
         if self._m_writes is not None:
             self._m_writes.inc()
             self._m_bytes_written.inc(nbytes)
@@ -446,7 +457,9 @@ class MemoryDevice:
 
         Free when no fault model is attached (single attribute test) and
         skipped entirely inside :meth:`unmetered` inspection blocks —
-        measurement probes never trip media faults.
+        measurement probes never trip media faults.  The per-line wear
+        count is looked up only when the model's wear-out mechanism is on
+        (:meth:`MediaFaultModel.check` ignores it otherwise).
         """
         fm = self.fault_model
         if fm is None or self._unmetered:
@@ -455,9 +468,10 @@ class MemoryDevice:
             lines = LINES_PER_RECORD
         base = slot * LINES_PER_RECORD + line0
         now = self.clock.now_ns
+        wear = self._wear if fm.wear_fraction > 0.0 else _NO_WEAR
+        size = wear.size
         for g in range(base, base + lines):
-            wear = int(self._wear[g]) if g < self._wear.size else 0
-            kind = fm.check(g, now, wear)
+            kind = fm.check(g, now, int(wear[g]) if g < size else 0)
             if kind is not None:
                 raise UncorrectableError(self.spec.name, slot, kind, lines=(g,))
 

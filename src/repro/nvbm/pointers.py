@@ -20,27 +20,28 @@ NULL_HANDLE = 0
 ARENA_DRAM = 1
 ARENA_NVBM = 2
 
-_INDEX_BITS = 48
-_INDEX_MASK = (1 << _INDEX_BITS) - 1
+#: Bits of a handle that hold the record index; the arena tag sits above.
+INDEX_BITS = 48
+INDEX_MASK = (1 << INDEX_BITS) - 1
 
 
 def make_handle(arena_id: int, index: int) -> int:
     """Build a handle from an arena tag and a record index."""
     if arena_id <= 0 or arena_id > 0xFFFF:
         raise ValueError(f"invalid arena id {arena_id}")
-    if index < 0 or index > _INDEX_MASK:
+    if index < 0 or index > INDEX_MASK:
         raise ValueError(f"record index out of range: {index}")
-    return (arena_id << _INDEX_BITS) | index
+    return (arena_id << INDEX_BITS) | index
 
 
 def arena_of(handle: int) -> int:
     """Arena tag of a non-null handle."""
-    return handle >> _INDEX_BITS
+    return handle >> INDEX_BITS
 
 
 def index_of(handle: int) -> int:
     """Record index of a non-null handle."""
-    return handle & _INDEX_MASK
+    return handle & INDEX_MASK
 
 
 def is_null(handle: int) -> bool:

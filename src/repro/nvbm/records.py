@@ -126,7 +126,7 @@ def unpack_epoch(data: bytes) -> int:
     return _EPOCH_STRUCT.unpack(data)[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class OctantRecord:
     """Unpacked view of one octant record.
 
@@ -193,17 +193,6 @@ def unpack_record(data: bytes) -> OctantRecord:
     """Deserialize a 128-byte record."""
     if len(data) != OCTANT_RECORD_SIZE:
         raise ValueError(f"expected {OCTANT_RECORD_SIZE} bytes, got {len(data)}")
-    fields = _STRUCT.unpack(data[: _STRUCT.size])
-    loc, level, flags, _pad, epoch = fields[:5]
-    payload = fields[5:9]
-    parent = fields[9]
-    children = list(fields[10:18])
-    return OctantRecord(
-        loc=loc,
-        level=level,
-        flags=flags,
-        epoch=epoch,
-        payload=payload,
-        parent=parent,
-        children=children,
-    )
+    f = _STRUCT.unpack_from(data)
+    # f[3] is the padding field; the argument order is OctantRecord's
+    return OctantRecord(f[0], f[1], f[2], f[4], f[5:9], f[9], list(f[10:18]))

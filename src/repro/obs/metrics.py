@@ -65,7 +65,10 @@ class Counter(_Metric):
         if v < 0:
             raise ValueError(f"counter {self.name} cannot decrease (v={v})")
         self.value += v
-        self._stamp()
+        # _stamp() inlined: device counters tick on every metered access
+        clock = self._registry.clock
+        if clock is not None:
+            self.updated_ns = clock.now_ns
 
     def sample(self) -> Dict[str, Any]:
         return {"name": self.name, "type": self.kind,

@@ -14,7 +14,7 @@ import pathlib
 import pytest
 
 from repro.cli import main
-from repro.harness.bench import GATES, compare_envelopes, run_bench
+from repro.harness.bench import GATES, WALL_GATES, compare_envelopes, run_bench
 from repro.harness.report import BENCH_SCHEMA, bench_envelope, validate_envelope
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -165,3 +165,81 @@ def test_bench_is_deterministic(envelope):
     again = run_bench(pr=5)
     assert json.dumps(envelope, sort_keys=True) \
         == json.dumps(again, sort_keys=True)
+
+
+# -- the opt-in wall layer ---------------------------------------------------
+
+WALL_BASELINE_PATH = REPO_ROOT / "BENCH_pr10.json"
+
+
+def _write(tmp_path, name, env):
+    path = tmp_path / name
+    path.write_text(json.dumps(env))
+    return str(path)
+
+
+def test_default_envelope_has_no_wall_marker(envelope):
+    """Only a run whose wall layer ran says so; the default bytes stay put."""
+    assert "wall" not in envelope
+    marked = bench_envelope(1, "s", {"m": 1.0}, [], wall=True)
+    assert marked["wall"] is True and validate_envelope(marked) == []
+    marked["wall"] = "yes"
+    assert any("wall" in e for e in validate_envelope(marked))
+
+
+def test_compare_without_wall_skips_only_wall_gates(envelope, tmp_path,
+                                                    capsys):
+    """A baseline carrying a wall gate (BENCH_pr10) gates a no-wall run on
+    its deterministic metrics alone; the wall gate is reported as not run."""
+    baseline = json.loads(WALL_BASELINE_PATH.read_text())
+    assert {g["metric"] for g in WALL_GATES} <= {
+        g["metric"] for g in baseline["gates"]}
+    report = compare_envelopes(baseline, envelope)
+    assert report.ok, [r.describe() for r in report.regressions]
+    assert report.not_run == [g["metric"] for g in WALL_GATES]
+    assert report.checked == len(baseline["gates"]) - len(WALL_GATES)
+
+    current = _write(tmp_path, "current.json", envelope)
+    assert main(["bench", "--compare", str(WALL_BASELINE_PATH),
+                 "--current", current]) == 0
+    out = capsys.readouterr().out
+    assert "OK" in out and "droplet.wall_speedup" in out
+
+
+def test_compare_without_wall_still_fails_on_missing_deterministic_metric(
+        envelope, tmp_path):
+    gone = json.loads(json.dumps(envelope))
+    del gone["metrics"]["droplet.makespan_ns"]
+    gone["gates"] = [g for g in gone["gates"]
+                     if g["metric"] != "droplet.makespan_ns"]
+    current = _write(tmp_path, "gone.json", gone)
+    assert main(["bench", "--compare", str(WALL_BASELINE_PATH),
+                 "--current", current]) == 1
+    report = compare_envelopes(
+        json.loads(WALL_BASELINE_PATH.read_text()), gone)
+    assert [(r.metric, r.kind) for r in report.regressions] == [
+        ("droplet.makespan_ns", "missing")]
+
+
+def test_wall_run_is_still_gated(envelope, tmp_path):
+    """With the wall layer on, a speedup below the floor fails, and so does
+    a wall run that lost its wall metric."""
+    baseline = json.loads(WALL_BASELINE_PATH.read_text())
+    floor = baseline["metrics"]["droplet.wall_speedup"] * (
+        1.0 - WALL_GATES[0]["tolerance"])
+    wall = json.loads(json.dumps(envelope))
+    wall["wall"] = True
+    wall["gates"] = wall["gates"] + [dict(g) for g in WALL_GATES]
+    wall["metrics"]["droplet.wall_speedup"] = floor * 1.01
+    assert main(["bench", "--compare", str(WALL_BASELINE_PATH),
+                 "--current", _write(tmp_path, "fast.json", wall)]) == 0
+    wall["metrics"]["droplet.wall_speedup"] = floor * 0.5
+    assert main(["bench", "--compare", str(WALL_BASELINE_PATH),
+                 "--current", _write(tmp_path, "slow.json", wall)]) == 1
+    del wall["metrics"]["droplet.wall_speedup"]
+    wall["gates"] = [g for g in wall["gates"]
+                     if g["metric"] != "droplet.wall_speedup"]
+    report = compare_envelopes(baseline, wall)
+    assert not report.ok and report.not_run == []
+    assert [(r.metric, r.kind) for r in report.regressions] == [
+        ("droplet.wall_speedup", "missing")]

@@ -104,6 +104,16 @@ def test_flush_persists(nvbm):
     assert nvbm.read_octant(h).loc == 5
 
 
+def test_flush_records_skips_a_repeated_handle(nvbm):
+    """Regression: a handle listed twice raised KeyError on its second
+    occurrence; it is already flushed by then and is skipped."""
+    a, b = nvbm.new_octant(_rec(loc=1)), nvbm.new_octant(_rec(loc=2))
+    nvbm.flush_records([a, a, b, a])
+    assert nvbm.dirty_records == 0
+    nvbm.crash(np.random.default_rng(0))
+    assert nvbm.read_octant(a).loc == 1 and nvbm.read_octant(b).loc == 2
+
+
 def test_crash_drops_unflushed_nvbm_writes():
     clock = SimClock()
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, capacity_octants=64)

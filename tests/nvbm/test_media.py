@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import CACHE_LINE_SIZE, NVBM_SPEC, OCTANT_RECORD_SIZE
-from repro.errors import MediaError, UncorrectableError
+from repro.errors import InvalidHandleError, MediaError, UncorrectableError
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.device import LINES_PER_RECORD, MediaFaultModel
@@ -268,3 +268,80 @@ def test_retired_capacity_counts_as_spent(nvbm):
     nvbm.retire(h)
     assert nvbm.free_fraction == pytest.approx(free_before)
     assert nvbm.allocator.retired == 1
+
+
+# ---------------------------------------------------- batched reads that fail
+
+
+def _batch_vs_loop(make, fail, loop_read, batch_read):
+    """Run the scalar loop and the batched read over the same fresh setup;
+    both must raise ``fail`` with identical device stats and clock."""
+    outcomes = []
+    for read in (loop_read, batch_read):
+        clock = SimClock()
+        arena = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, capacity_octants=64)
+        handles = make(arena)
+        with pytest.raises(fail):
+            read(arena, handles)
+        outcomes.append((arena.device.stats, clock.now_ns,
+                         dict(clock.by_category)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def _loop_payloads(arena, handles):
+    for h in handles:
+        arena.read_payload(h)
+
+
+def _batch_payloads(arena, handles):
+    arena.read_payload_batch(handles)
+
+
+def test_batched_read_hitting_a_media_fault_charges_like_the_loop():
+    """Regression: the batched gather used to verify every record before
+    its single charge, so a fault on record k left the k earlier reads and
+    the failing one uncharged (reads=0 where the loop had reads=3)."""
+
+    def make(arena):
+        arena.attach_fault_model(MediaFaultModel(seed=1))
+        hs = [arena.new_octant(_rec(loc=i + 1)) for i in range(4)]
+        arena.flush()
+        line = PAYLOAD_SPAN[0] // CACHE_LINE_SIZE
+        arena.device.fault_model.plant_stuck(_gline(hs[2], line))
+        return hs
+
+    stats, now_ns, _ = _batch_vs_loop(make, UncorrectableError,
+                                      _loop_payloads, _batch_payloads)
+    assert stats.reads == 3 and stats.lines_read == 3
+    assert stats.bytes_read == 3 * PAYLOAD_SPAN[1]
+    assert now_ns == 4 * 2 * NVBM_SPEC.write_latency_ns + 250.0 \
+        + 3 * NVBM_SPEC.read_latency_ns
+
+
+def test_batched_read_hitting_a_crc_fault_charges_like_the_loop():
+    def make(arena):
+        hs = [arena.new_octant(_rec(loc=i + 1)) for i in range(4)]
+        arena.flush()
+        idx = index_of(hs[1])
+        raw = bytearray(arena._backing[idx])
+        raw[0] ^= 0xFF
+        arena._backing[idx] = bytes(raw)
+        return hs
+
+    stats, _, _ = _batch_vs_loop(make, MediaError,
+                                 _loop_payloads, _batch_payloads)
+    assert stats.reads == 2
+
+
+def test_batched_read_of_a_freed_handle_charges_like_the_loop():
+    """A failed handle check charges nothing for that record, in both."""
+
+    def make(arena):
+        hs = [arena.new_octant(_rec(loc=i + 1)) for i in range(4)]
+        arena.free(hs[3])
+        return hs
+
+    stats, _, _ = _batch_vs_loop(make, InvalidHandleError,
+                                 _loop_payloads, _batch_payloads)
+    assert stats.reads == 3

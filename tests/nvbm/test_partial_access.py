@@ -12,10 +12,10 @@ import pytest
 
 from repro.config import DRAM_SPEC, NVBM_SPEC, OCTANT_RECORD_SIZE
 from repro.errors import ConsistencyError
-from repro.nvbm.arena import MemoryArena, _line_mask
+from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import Category, SimClock
 from repro.nvbm.device import lines_spanned
-from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM, NULL_HANDLE
+from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM, NULL_HANDLE, index_of
 from repro.nvbm.records import (
     FLAG_LEAF,
     FLAGS_SPAN,
@@ -58,11 +58,15 @@ def test_lines_spanned():
     assert lines_spanned(9, 0) == 1             # degenerate span still 1 line
 
 
-def test_line_mask_matches_spans():
-    assert _line_mask(*FLAGS_SPAN) == 0b01
-    assert _line_mask(*child_span(1)) == 0b10
-    assert _line_mask(*child_span(0, 8)) == 0b11
-    assert _line_mask(0, OCTANT_RECORD_SIZE) == 0b11
+def test_line_mask_matches_spans(nvbm):
+    """A field store on a clean record dirties exactly its spanned lines."""
+    for (offset, size), mask in ((FLAGS_SPAN, 0b01), (child_span(1), 0b10),
+                                 (child_span(0, 8), 0b11),
+                                 ((0, OCTANT_RECORD_SIZE), 0b11)):
+        h = nvbm.new_octant(_rec())
+        nvbm.flush()
+        nvbm.write_field(h, offset, bytes(size))
+        assert nvbm._dirty_lines[index_of(h)] == mask
 
 
 # -- field round-trips -------------------------------------------------------
